@@ -55,8 +55,9 @@ AffinePoint cosi_aggregate_commitments(std::span<const AffinePoint> commitments)
 }
 
 U256 cosi_challenge(const AffinePoint& aggregate_v, BytesView record) {
+  std::array<std::uint8_t, 65> vb;
   Sha256 h;
-  h.update(aggregate_v.serialize());
+  h.update(BytesView(vb.data(), aggregate_v.serialize_to(vb)));
   h.update(record);
   return scalar_from_digest(h.finalize());
 }

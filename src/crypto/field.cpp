@@ -6,10 +6,12 @@ namespace fides::crypto {
 
 namespace {
 
-/// -m^{-1} mod 2^64 by Newton iteration (m odd). Five iterations double the
-/// number of correct bits each time: 5 -> 10 -> 20 -> 40 -> 80 >= 64.
+/// -m^{-1} mod 2^64 by Newton iteration (m odd). The seed inv = m is
+/// correct to 3 bits (m*m ≡ 1 mod 8 for odd m), and each iteration doubles
+/// the number of correct bits: 3 -> 6 -> 12 -> 24 -> 48 -> 96 >= 64 takes
+/// five; the loop runs six, one more than needed.
 std::uint64_t neg_inv64(std::uint64_t m) {
-  std::uint64_t inv = m;  // correct to 5 bits for odd m (m*m ≡ 1 mod 16... classical trick: inv = m works to 3 bits)
+  std::uint64_t inv = m;
   for (int i = 0; i < 6; ++i) inv *= 2 - m * inv;
   return ~inv + 1;  // negate mod 2^64
 }

@@ -8,11 +8,11 @@ namespace {
 
 /// Challenge scalar c = H(ser(R) ‖ ser(P) ‖ m) mod n.
 U256 challenge(const AffinePoint& r, const PublicKey& pk, BytesView message) {
+  std::array<std::uint8_t, 65> rb;
+  std::array<std::uint8_t, 65> pb;
   Sha256 h;
-  const Bytes rb = r.serialize();
-  const Bytes pb = pk.serialize();
-  h.update(rb);
-  h.update(pb);
+  h.update(BytesView(rb.data(), r.serialize_to(rb)));
+  h.update(BytesView(pb.data(), pk.point.serialize_to(pb)));
   h.update(message);
   return scalar_from_digest(h.finalize());
 }

@@ -1,5 +1,6 @@
 #include "crypto/secp256k1.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 namespace fides::crypto {
@@ -45,15 +46,22 @@ std::vector<std::int8_t> wnaf5(const U256& k) {
 }  // namespace
 
 Bytes AffinePoint::serialize() const {
-  if (infinity) return Bytes{0x00};
-  Bytes out;
-  out.reserve(65);
-  out.push_back(0x04);  // SEC1 uncompressed marker
+  std::array<std::uint8_t, 65> buf;
+  const std::size_t n = serialize_to(buf);
+  return Bytes(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+std::size_t AffinePoint::serialize_to(std::array<std::uint8_t, 65>& out) const {
+  if (infinity) {
+    out[0] = 0x00;
+    return 1;
+  }
+  out[0] = 0x04;  // SEC1 uncompressed marker
   const auto xb = x.to_bytes_be();
   const auto yb = y.to_bytes_be();
-  out.insert(out.end(), xb.begin(), xb.end());
-  out.insert(out.end(), yb.begin(), yb.end());
-  return out;
+  std::memcpy(out.data() + 1, xb.data(), xb.size());
+  std::memcpy(out.data() + 33, yb.data(), yb.size());
+  return out.size();
 }
 
 std::optional<AffinePoint> AffinePoint::deserialize(BytesView b) {
@@ -364,8 +372,11 @@ bool Curve::equal(const Point& p, const Point& q) const {
 }
 
 U256 scalar_from_digest(const Digest& d) {
+  // n > 2^255, so every 256-bit digest is below 2n: one conditional
+  // subtraction reduces it.
   const U256 x = U256::from_bytes_be(d.view());
-  return u256_mod(x, kN);
+  U256 reduced;
+  return u256_sub(reduced, x, kN) == 0 ? reduced : x;
 }
 
 }  // namespace fides::crypto

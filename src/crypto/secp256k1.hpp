@@ -11,6 +11,8 @@
 // resistance of co-located processes is out of the paper's scope.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <optional>
 #include <span>
 #include <vector>
@@ -39,6 +41,9 @@ struct AffinePoint {
   friend bool operator==(const AffinePoint&, const AffinePoint&) = default;
 
   Bytes serialize() const;
+  /// Writes the serialize() bytes into `out` without allocating; returns
+  /// how many it wrote (65, or 1 for infinity).
+  std::size_t serialize_to(std::array<std::uint8_t, 65>& out) const;
   static std::optional<AffinePoint> deserialize(BytesView b);
 };
 

@@ -3,9 +3,15 @@
 // This is the one-way, collision-resistant hash the paper assumes for Merkle
 // hash trees (§2.3), block hash pointers (§3.1), and the CoSi challenge
 // (§2.2). Streaming interface plus one-shot helpers.
+//
+// Every digest goes through one multi-block compressor. On x86 CPUs with the
+// SHA extensions it runs the SHA-NI instructions; elsewhere it runs the
+// scalar FIPS 180-4 rounds. The choice is made once, from CPUID, and both
+// bodies produce identical digests.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bytes.hpp"
@@ -37,8 +43,6 @@ class Sha256 {
   Digest finalize();
 
  private:
-  void process_block(const std::uint8_t* p);
-
   std::array<std::uint32_t, 8> h_;
   std::array<std::uint8_t, 64> buf_;
   std::size_t buf_len_{0};
@@ -51,6 +55,25 @@ Digest sha256(BytesView data);
 /// Hash of the concatenation of two digests — the Merkle interior-node rule
 /// h(left | right) from §2.3.
 Digest sha256_pair(const Digest& left, const Digest& right);
+
+namespace detail {
+
+/// The SHA-256 chaining state: eight 32-bit words, H0..H7.
+using Sha256State = std::array<std::uint32_t, 8>;
+
+/// Runs the compression function over `nblocks` consecutive 64-byte blocks.
+/// This is the body Sha256, sha256 and sha256_pair use, chosen once from
+/// CPUID.
+void compress(Sha256State& state, const std::uint8_t* blocks, std::size_t nblocks);
+
+/// The two bodies behind compress(), exposed so tests and the ablation bench
+/// can run and compare both on any host. compress_shani() may only be called
+/// when shani_supported() is true.
+void compress_scalar(Sha256State& state, const std::uint8_t* blocks, std::size_t nblocks);
+void compress_shani(Sha256State& state, const std::uint8_t* blocks, std::size_t nblocks);
+bool shani_supported();
+
+}  // namespace detail
 
 }  // namespace fides::crypto
 
